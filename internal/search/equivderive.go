@@ -2,12 +2,9 @@ package search
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
-	"time"
+	"sync"
 
 	"repro/internal/dataflow"
-	"repro/internal/fingerprint"
 	"repro/internal/opt"
 )
 
@@ -20,15 +17,16 @@ import (
 // shards in the default tier and derives the equiv space afterwards.
 // That is sound because the complete default space is a total oracle
 // for the equiv BFS: every node the equiv run expands is the class
-// representative of some default-tier instance, every phase outcome at
-// that instance is recorded in the default space's edges (absence =
-// dormant, by the same Section 4.1 argument the merge replay uses),
-// and class keys come from re-materializing child instances by their
-// default-space sequences and encoding them with the same
-// flow-sensitive encoder the live run applies. opts supplies the caps
-// and phase list of the equiv request (the machine description always
-// comes from full); if a cap binds, the derived result aborts with the
-// serial run's reason.
+// representative of some default-tier instance, and every phase
+// outcome at that instance is recorded in the default space's edges
+// (absence = dormant, by the same Section 4.1 argument the merge
+// uses). The derivation is Run's own level loop, seeded from the root
+// with the equivalence tier on, with deriveSource answering attempts;
+// only the raw-distinct children the equivalence tier must classify
+// are materialized. opts supplies the caps, phase list and width of
+// the equiv request (the machine description always comes from full);
+// if a cap binds, the derived result aborts with the serial run's
+// reason.
 func DeriveEquiv(full *Result, opts Options) (res *Result, err error) {
 	if full.Checkpoint != nil {
 		return nil, fmt.Errorf("search: derive-equiv: source space is not complete (checkpoint frontier remains)")
@@ -42,166 +40,73 @@ func DeriveEquiv(full *Result, opts Options) (res *Result, err error) {
 	if len(full.Nodes) == 0 || full.root == nil {
 		return nil, fmt.Errorf("search: derive-equiv: source space is empty")
 	}
-	// Sequence replay panics on malformed input (an unknown phase, a
-	// dormant step); a shard result arrives over the wire, so convert
-	// that into an error instead of unwinding the caller.
+	// A shard result arrives over the wire, so a malformed source space
+	// surfaces as an error instead of unwinding the caller.
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("search: derive-equiv: %v", r)
 		}
 	}()
-	opts.fill()
-	opts.Machine = full.opts.Machine
-	opts.Equiv = true
-	opts.CheckpointPath = ""
-	opts.Logger, opts.Metrics, opts.Tracer = nil, nil, nil
-
 	oracle := attemptOracle{}
 	if err := harvestOracle(oracle, full, func(int) bool { return true }); err != nil {
 		return nil, err
 	}
-	// Equivalence encodings, memoized by canonical key: the instance is
-	// re-materialized by replaying its default-space sequence from the
-	// root, then canonicalized exactly as the live equiv tier does.
-	encCache := make(map[string][]byte)
-	equivEnc := func(key, seq string) []byte {
-		if b, ok := encCache[key]; ok {
-			return b
-		}
-		st := opt.State{}
-		fn := replaySeq(full.root, seq, opts.Machine, &st)
-		b := dataflow.EquivEncode(nil, fn)
-		encCache[key] = b
-		return b
+	opts.Machine = full.opts.Machine
+	opts.Equiv = true
+	opts.Logger, opts.Metrics, opts.Tracer, opts.ProgressInterval = nil, nil, nil, 0
+	e := rootEngine(full.FuncName, full.root, opts)
+	e.prior = full.Elapsed
+	src := &deriveSource{e: e, oracle: oracle}
+	e.src = src
+	res = e.run()
+	if src.err != nil {
+		return nil, fmt.Errorf("search: derive-equiv: %w", src.err)
 	}
-
-	res = &Result{
-		FuncName: full.FuncName,
-		Elapsed:  full.Elapsed,
-		root:     full.root,
-		opts:     opts,
-		keys:     newKeyStore(),
-		Equiv:    &EquivStats{RedundantByPhase: make(map[string]int)},
-	}
-	ins := newInstruments(&res.opts, full.FuncName, time.Now())
-
-	// Seed the root as Run does: Raw counts it, its canonical key and
-	// equivalence class register, and the node counter ticks once.
-	src := full.Nodes[0]
-	rootKey := full.NodeKey(src)
-	rootNode := &Node{
-		FP:        src.FP,
-		State:     src.State,
-		NumInstrs: src.NumInstrs,
-		CFKey:     src.CFKey,
-		CheckErr:  src.CheckErr,
-		EquivRaw:  1,
-	}
-	res.keys.put(0, rootKey)
-	res.Nodes = []*Node{rootNode}
-	// byKey is the identical tier plus its alias overlay: every raw
-	// spelling seen so far, mapped to the node it resolved to.
-	byKey := map[string]int{rootKey: 0}
-	classes := map[string]int{rootKey[:1] + string(equivEnc(rootKey, "")): 0}
-	res.Equiv.Raw = 1
-	ins.nodes.Add(1)
-
-	frontier := []*Node{rootNode}
-	for len(frontier) > 0 {
-		var work []attempt
-		for _, n := range frontier {
-			for _, p := range opts.Phases {
-				if !opt.Enabled(p, n.State) {
-					continue
-				}
-				if len(n.Seq) > 0 && n.Seq[len(n.Seq)-1] == p.ID() {
-					continue
-				}
-				work = append(work, attempt{n, p})
-			}
-		}
-		if len(work) > opts.MaxSeqPerLevel {
-			res.abort(abortLevelCapReason(frontier[0].Level+1, len(work), opts.MaxSeqPerLevel))
-			break
-		}
-		res.AttemptedPhases += len(work)
-		level := frontier[0].Level
-		levelStart := len(res.Nodes)
-		ins.beginLevel(level, len(frontier), len(work))
-		var next []*Node
-		for _, a := range work {
-			// The node's stored key is its class representative's
-			// canonical key — the instance the live equiv run would
-			// retain and expand — so the oracle lookup asks about
-			// exactly the instance the live run evaluates.
-			pkey := res.keys.get(a.node.ID)
-			rec, ok := oracle[pkey][a.phase.ID()]
-			if !ok {
-				ins.observeOutcome(false, false)
-				continue
-			}
-			if rec.quarantine != "" {
-				qn := &Node{
-					ID:         len(res.Nodes),
-					Level:      a.node.Level + 1,
-					Seq:        a.node.Seq + string(a.phase.ID()),
-					Quarantine: strings.ReplaceAll(rec.quarantine, seqToken, strconv.Quote(a.node.Seq)),
-				}
-				res.keys.put(qn.ID, "Q"+qn.Seq)
-				res.Nodes = append(res.Nodes, qn)
-				a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: qn.ID})
-				ins.observeQuarantine()
-				continue
-			}
-			if id, dup := byKey[rec.key]; dup {
-				// Identical tier: the raw spelling (or an alias of it)
-				// is already known.
-				ins.observeOutcome(true, false)
-				a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: id})
-				continue
-			}
-			res.Equiv.Raw++
-			ck := rec.key[:1] + string(equivEnc(rec.key, rec.seq))
-			if cid, dup := classes[ck]; dup {
-				// Raw-distinct instance, known class: fold it in and
-				// alias its spelling, exactly as engine.add does.
-				byKey[rec.key] = cid
-				cn := res.Nodes[cid]
-				cn.EquivRaw++
-				res.Equiv.Merged++
-				res.Equiv.RedundantByPhase[string(a.phase.ID())]++
-				ins.observeOutcome(true, false)
-				ins.observeEquivMerge()
-				a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: cid})
-				continue
-			}
-			cn := &Node{
-				ID:        len(res.Nodes),
-				Level:     a.node.Level + 1,
-				Seq:       a.node.Seq + string(a.phase.ID()),
-				FP:        rec.fp,
-				State:     bitsState(rec.state),
-				NumInstrs: rec.numInstrs,
-				CFKey:     fingerprint.Key(rec.cfKey),
-				CheckErr:  rec.checkErr,
-				EquivRaw:  1,
-			}
-			res.keys.put(cn.ID, rec.key)
-			byKey[rec.key] = cn.ID
-			classes[ck] = cn.ID
-			res.Nodes = append(res.Nodes, cn)
-			ins.observeOutcome(true, true)
-			a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: cn.ID})
-			next = append(next, cn)
-		}
-		ins.nodesExpanded += len(frontier)
-		frontier = next
-		res.keys.noteLevel(levelStart)
-		if opts.MaxNodes > 0 && len(res.Nodes) > opts.MaxNodes {
-			res.abort(abortNodeCapReason(opts.MaxNodes))
-			break
-		}
-	}
-	res.Stats = ins.runStats()
 	return res, nil
+}
+
+// deriveSource answers the equivalence run's attempts from the default
+// space's oracle. Dormant attempts, quarantines and identical-tier
+// duplicates need nothing more. A raw key the index has only pending
+// may open or fold into an equivalence class, which needs the child
+// instance and its equivalence encoding: the phase is applied to the
+// parent's retained instance — the one the live equiv run retains,
+// reached by the same sequence — and the child is encoded.
+type deriveSource struct {
+	e      *engine
+	oracle attemptOracle
+
+	mu  sync.Mutex
+	err error // first inconsistency between the oracle and a replayed phase
+}
+
+func (s *deriveSource) eval(a attempt, _ int) (o outcome) {
+	o = s.e.answer(s.oracle, a)
+	if o.pend == nil {
+		return o
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.fail(fmt.Errorf("phase %c at %q: %v", a.phase.ID(), a.node.Seq, r))
+			o = outcome{}
+		}
+	}()
+	child := getClone(a.node.fn)
+	st := a.node.State
+	if !opt.Attempt(child, &st, a.phase, s.e.opts.Machine) {
+		putClone(child)
+		s.fail(fmt.Errorf("phase %c at %q is dormant, but the source space records a child", a.phase.ID(), a.node.Seq))
+		return outcome{}
+	}
+	o.fn = child
+	o.equiv = dataflow.EquivEncode(nil, child)
+	return o
+}
+
+func (s *deriveSource) fail(err error) {
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = err
+	}
+	s.mu.Unlock()
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/fingerprint"
-	"repro/internal/opt"
 )
 
 // The merge step reassembles one space from completed sub-spaces. The
@@ -16,12 +14,11 @@ import (
 // lexicographically first shortest sequence *globally* (a node two
 // shards both reach keeps the sequence the serial run would have found
 // first), and the stats counters are part of the canonical hash. So
-// the merge replays the enumeration from the base checkpoint — the
-// same level loop, the same dedup index probes, the same counter
-// updates — but answers every "what does phase p do at instance n?"
-// question from an oracle harvested out of the shard results instead
-// of evaluating the phase. Replay cost is pure index work: no cloning,
-// no phase application, no verification.
+// the merge resumes the engine's own level loop from the base
+// checkpoint, with shardSource answering every "what does phase p do
+// at instance n?" question from an oracle harvested out of the shard
+// results instead of evaluating the phase. Replay cost is pure index
+// work: no cloning, no phase application, no verification.
 
 // oracleChild is one harvested attempt outcome: the child instance a
 // phase application produced at a parent (or the quarantine it died
@@ -31,16 +28,15 @@ type oracleChild struct {
 	fp        fingerprint.FP
 	state     byte
 	numInstrs int
-	cfKey     string
+	cfKey     fingerprint.Key
 	checkErr  string
 	// seq is the harvesting space's own Seq for the child. It is
-	// shard-relative — the merge replay reconstructs sequences serially
-	// and never uses it — but equivalence derivation replays it to
-	// materialize the instance (see equivderive.go).
+	// shard-relative — the level loop reconstructs sequences serially —
+	// so it only names the child in conflict errors.
 	seq string
 	// quarantine, when non-empty, is the failure message with the
 	// parent's shard-relative quoted Seq replaced by seqToken, so
-	// records from different shards compare equal and the replay can
+	// records from different shards compare equal and answer can
 	// re-embed the serial parent sequence.
 	quarantine string
 }
@@ -76,7 +72,7 @@ func (o attemptOracle) record(parentKey string, phase byte, c oracleChild) error
 	a, b := prev, c
 	a.seq, b.seq = "", ""
 	if a != b {
-		return fmt.Errorf("search: merge: shards disagree on the outcome of phase %c", phase)
+		return fmt.Errorf("search: merge: shards disagree on the outcome of phase %c (children %q and %q)", phase, prev.seq, c.seq)
 	}
 	return nil
 }
@@ -86,11 +82,18 @@ func (o attemptOracle) record(parentKey string, phase byte, c oracleChild) error
 // (active children and quarantines); phases with no edge were dormant
 // there. Quarantined nodes are never parents — they have no instance.
 func harvestOracle(o attemptOracle, res *Result, expanded func(id int) bool) error {
+	// Fetch every key once, in ID order. Retired keys sit in per-level
+	// blobs and the keyStore caches one decompressed blob, so looking
+	// parent and child up per edge would inflate a blob on every call.
+	keys := make([]string, len(res.Nodes))
+	for i := range keys {
+		keys[i] = res.keys.get(i)
+	}
 	for _, n := range res.Nodes {
 		if n.Quarantine != "" || !expanded(n.ID) {
 			continue
 		}
-		pkey := res.NodeKey(n)
+		pkey := keys[n.ID]
 		for _, e := range n.Edges {
 			c := res.Nodes[e.To]
 			var oc oracleChild
@@ -98,11 +101,11 @@ func harvestOracle(o attemptOracle, res *Result, expanded func(id int) bool) err
 				oc = oracleChild{quarantine: strings.ReplaceAll(c.Quarantine, strconv.Quote(n.Seq), seqToken)}
 			} else {
 				oc = oracleChild{
-					key:       res.NodeKey(c),
+					key:       keys[c.ID],
 					fp:        c.FP,
 					state:     stateBits(c.State),
 					numInstrs: c.NumInstrs,
-					cfKey:     string(c.CFKey),
+					cfKey:     c.CFKey,
 					checkErr:  c.CheckErr,
 					seq:       c.Seq,
 				}
@@ -133,13 +136,12 @@ type ShardSpace struct {
 // serialization. base must be a paused (or loaded) result whose
 // checkpoint frontier the shards' FrontierIDs cover disjointly; every
 // shard must be complete (no checkpoint, not aborted). The merge
-// replays the level loop from the base frontier in serial order,
-// resolving every attempt through the striped dedup index with the
-// harvested oracle standing in for phase evaluation; if the base
-// MaxSeqPerLevel/MaxNodes caps bind during replay the merged result
-// aborts with exactly the serial run's reason. Inconsistent shards
-// (disagreeing outcomes, uncovered frontier nodes) fail with an error
-// and leave base untouched.
+// resumes the engine's level loop from a copy of the base frontier at
+// the base run's Workers width, with the harvested oracle standing in
+// for phase evaluation; if the base MaxSeqPerLevel/MaxNodes caps bind
+// the merged result aborts with exactly the serial run's reason.
+// Inconsistent shards (disagreeing outcomes, uncovered frontier nodes)
+// fail with an error and leave base untouched.
 func MergeShards(base *Result, shards []ShardSpace) (*Result, error) {
 	cp := base.Checkpoint
 	if cp == nil {
@@ -197,30 +199,24 @@ func MergeShards(base *Result, shards []ShardSpace) (*Result, error) {
 			return nil, fmt.Errorf("search: merge: frontier node %d not covered by any shard", n.ID)
 		}
 	}
-	return replayMerge(base, oracle), nil
-}
-
-// replayMerge runs the serial level loop from the base checkpoint,
-// answering attempts from the oracle. The base node table is copied
-// (base stays reusable for a fallback), the instruments are seeded
-// from the base stats exactly as Resume seeds them, and every index
-// probe, counter update and abort check sits at the same point of the
-// loop as in engine.run — the invariant the byte-identity rests on.
-func replayMerge(base *Result, oracle attemptOracle) *Result {
-	baseN := len(base.Nodes)
+	// The merge is bookkeeping, not enumeration: the warm-up's
+	// telemetry, checkpointing, pause, deadline and context must not
+	// fire again.
 	ropts := base.opts
-	// The replay is bookkeeping, not enumeration: telemetry and
-	// checkpointing of the original options must not fire again.
-	ropts.CheckpointPath = ""
-	ropts.Logger, ropts.Metrics, ropts.Tracer = nil, nil, nil
+	ropts.CheckpointPath, ropts.StopAtFrontier = "", 0
+	ropts.Timeout, ropts.Ctx = 0, nil
+	ropts.Logger, ropts.Metrics, ropts.Tracer, ropts.ProgressInterval = nil, nil, nil, 0
 	res := &Result{
 		FuncName:        base.FuncName,
 		AttemptedPhases: base.AttemptedPhases,
 		Elapsed:         base.Elapsed,
+		Stats:           base.Stats,
 		root:            base.root,
 		opts:            ropts,
 		keys:            newKeyStore(),
 	}
+	// Copy the base table (base stays reusable for a fallback). Its
+	// keys stay live until the level loop retires them.
 	res.Nodes = make([]*Node, 0, baseN)
 	for _, n := range base.Nodes {
 		m := *n
@@ -228,109 +224,47 @@ func replayMerge(base *Result, oracle attemptOracle) *Result {
 		res.Nodes = append(res.Nodes, &m)
 		res.keys.put(m.ID, base.keys.get(n.ID))
 	}
-	// Retire the copied keys level by level, mirroring Load; replay
-	// retirement then continues seamlessly past the base table.
-	for start := 0; start < len(res.Nodes); {
-		end := start + 1
-		for end < len(res.Nodes) && res.Nodes[end].Level == res.Nodes[start].Level {
-			end++
-		}
-		res.keys.retire(start, end)
-		start = end
+	res.Checkpoint = &Checkpoint{}
+	for _, n := range cp.Frontier {
+		res.Checkpoint.Frontier = append(res.Checkpoint.Frontier, res.Nodes[n.ID])
 	}
-	idx := newDedupIndex(res.keys)
-	for _, n := range res.Nodes {
-		if n.Quarantine != "" {
-			continue
-		}
-		idx.insert(stateBits(n.State), n.FP, n.ID)
-	}
-	ins := newInstruments(&res.opts, res.FuncName, time.Now())
-	ins.seed(base.Stats, baseN)
+	e := resumeEngine(res)
+	e.src = shardSource{e, oracle}
+	return e.run(), nil
+}
 
-	frontier := make([]*Node, len(base.Checkpoint.Frontier))
-	for i, n := range base.Checkpoint.Frontier {
-		frontier[i] = res.Nodes[n.ID]
+// shardSource answers attempts from the shards' harvested oracle.
+type shardSource struct {
+	e      *engine
+	oracle attemptOracle
+}
+
+func (s shardSource) eval(a attempt, _ int) outcome { return s.e.answer(s.oracle, a) }
+
+// answer looks attempt a up in an oracle and resolves an active
+// record against the striped index, filling every outcome field but
+// the instance: the parent's key row gives the child, a quarantine
+// record is re-embedded with the serial parent sequence, and no record
+// means the phase was dormant. A shard whose own Seq for the parent
+// ended in this phase skipped the attempt entirely, but that proves
+// the same thing — an active phase is never active twice in a row
+// (Section 4.1).
+func (e *engine) answer(oracle attemptOracle, a attempt) outcome {
+	rec, ok := oracle[e.res.keys.get(a.node.ID)][a.phase.ID()]
+	if !ok {
+		return outcome{}
 	}
-	opts := &res.opts
-	for len(frontier) > 0 {
-		var work []attempt
-		for _, n := range frontier {
-			for _, p := range opts.Phases {
-				if !opt.Enabled(p, n.State) {
-					continue
-				}
-				if len(n.Seq) > 0 && n.Seq[len(n.Seq)-1] == p.ID() {
-					continue
-				}
-				work = append(work, attempt{n, p})
-			}
-		}
-		if len(work) > opts.MaxSeqPerLevel {
-			res.abort(abortLevelCapReason(frontier[0].Level+1, len(work), opts.MaxSeqPerLevel))
-			break
-		}
-		res.AttemptedPhases += len(work)
-		level := frontier[0].Level
-		levelStart := len(res.Nodes)
-		ins.beginLevel(level, len(frontier), len(work))
-		var next []*Node
-		for _, a := range work {
-			pkey := res.keys.get(a.node.ID)
-			rec, ok := oracle[pkey][a.phase.ID()]
-			if !ok {
-				// No shard recorded an outcome: the phase was dormant.
-				// A shard whose own Seq for the parent ended in this
-				// phase skipped the attempt entirely, but that proves
-				// the same thing — an active phase is never active twice
-				// in a row (Section 4.1).
-				ins.observeOutcome(false, false)
-				continue
-			}
-			if rec.quarantine != "" {
-				qn := &Node{
-					ID:         len(res.Nodes),
-					Level:      a.node.Level + 1,
-					Seq:        a.node.Seq + string(a.phase.ID()),
-					Quarantine: strings.ReplaceAll(rec.quarantine, seqToken, strconv.Quote(a.node.Seq)),
-				}
-				res.keys.put(qn.ID, "Q"+qn.Seq)
-				res.Nodes = append(res.Nodes, qn)
-				a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: qn.ID})
-				ins.observeQuarantine()
-				continue
-			}
-			flags := rec.key[0]
-			if id, dup := idx.lookup(flags, rec.fp, []byte(rec.key[1:])); dup {
-				ins.observeOutcome(true, false)
-				a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: id})
-				continue
-			}
-			cn := &Node{
-				ID:        len(res.Nodes),
-				Level:     a.node.Level + 1,
-				Seq:       a.node.Seq + string(a.phase.ID()),
-				FP:        rec.fp,
-				State:     bitsState(rec.state),
-				NumInstrs: rec.numInstrs,
-				CFKey:     fingerprint.Key(rec.cfKey),
-				CheckErr:  rec.checkErr,
-			}
-			res.keys.put(cn.ID, rec.key)
-			idx.insert(flags, rec.fp, cn.ID)
-			res.Nodes = append(res.Nodes, cn)
-			ins.observeOutcome(true, true)
-			a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: cn.ID})
-			next = append(next, cn)
-		}
-		ins.nodesExpanded += len(frontier)
-		frontier = next
-		res.keys.noteLevel(levelStart)
-		if opts.MaxNodes > 0 && len(res.Nodes) > opts.MaxNodes {
-			res.abort(abortNodeCapReason(opts.MaxNodes))
-			break
-		}
+	if rec.quarantine != "" {
+		return outcome{quarantine: strings.ReplaceAll(rec.quarantine, seqToken, strconv.Quote(a.node.Seq))}
 	}
-	res.Stats = ins.runStats()
-	return res
+	o := outcome{
+		active:    true,
+		st:        bitsState(rec.state),
+		fp:        rec.fp,
+		checkErr:  rec.checkErr,
+		numInstrs: rec.numInstrs,
+		cfKey:     rec.cfKey,
+	}
+	o.dup, o.pend = e.index.resolve(rec.key[0], rec.fp, []byte(rec.key[1:]))
+	return o
 }

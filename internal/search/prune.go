@@ -1,10 +1,6 @@
 package search
 
 import (
-	"time"
-
-	"repro/internal/fingerprint"
-	"repro/internal/opt"
 	"repro/internal/rtl"
 )
 
@@ -36,159 +32,99 @@ type PruneStats struct {
 // without applying either phase. Every completed diamond saves one
 // full phase evaluation (clone + analysis + transformation).
 //
-// The enumeration is exact when the prior is exact for this function;
-// with a prior mined from *other* functions it is an approximation, and
-// the returned space may (rarely) diverge from Run's. Tests quantify
-// the divergence; the threshold chooses how certain the prior must be
-// (1.0 = only pairs never once observed dependent).
+// The enumeration runs on Run's engine, with its caps, quarantine,
+// cancellation and Stats; the pruned space is not checkpointed. It
+// holds the same instances as Run's when the prior is exact for this
+// function, but not the same bytes: deferred attempts commit after the
+// rest of their level, so discovery order, IDs and sequences can
+// differ. AttemptedPhases excludes the completed diamonds; Stats counts
+// each as an active attempt merged into its target. With a prior mined
+// from *other* functions the enumeration is an approximation and the
+// instance set may (rarely) diverge from Run's. Tests quantify the
+// divergence; the threshold chooses how certain the prior must be (1.0
+// = only pairs never once observed dependent).
 func RunWithIndependencePruning(f *rtl.Func, opts Options, prior IndependencePrior, threshold float64) (*Result, PruneStats) {
-	opts.fill()
-	var ps PruneStats
-	start := time.Now()
+	opts.CheckpointPath = ""
+	e := rootEngine(f.Name, cleanRoot(f), opts)
+	src := &diamondSource{live: liveSource{e}, res: e.res, prior: prior, threshold: threshold}
+	e.src = src
+	return e.run(), src.stats
+}
 
-	root := f.Clone()
-	rtl.Cleanup(root)
-	res := &Result{FuncName: f.Name, root: root.Clone(), opts: opts, keys: newKeyStore()}
-	index := newDedupIndex(res.keys)
+// diamondSource defers every attempt whose diamond the prior vouches
+// for to a second pass of its level. Before that pass, prepare resolves
+// each deferred diamond serially from the edges committed so far;
+// resolved attempts answer as a merge into the diamond's far corner,
+// the rest are evaluated live.
+type diamondSource struct {
+	live      liveSource
+	res       *Result
+	prior     IndependencePrior
+	threshold float64
+	// completed maps a deferred (node ID, phase) to its diamond target.
+	// Written by prepare before the second pass; read-only during it.
+	completed map[attemptKey]int32
+	stats     PruneStats
+}
 
-	// via[n] records the first-discovery parent and phase of node n.
-	type origin struct {
-		parent int
-		phase  byte
+type attemptKey struct {
+	node  int
+	phase byte
+}
+
+func (s *diamondSource) eval(a attempt, lane int) outcome {
+	if to, ok := s.completed[attemptKey{a.node.ID, a.phase.ID()}]; ok {
+		return outcome{active: true, dup: to}
 	}
-	via := make([]origin, 0, 1024)
+	return s.live.eval(a, lane)
+}
 
-	buf := fingerprint.GetBuffer()
-	defer fingerprint.PutBuffer(buf)
-	add := func(fn *rtl.Func, st opt.State, level int, seq string, parent int, phase byte) (*Node, bool) {
-		fp := fingerprint.SummarizeInto(buf, fn)
-		flags := stateBits(st)
-		if id, ok := index.lookup(flags, fp, buf.Enc); ok {
-			return res.Nodes[id], false
+// split defers x at m when m was first reached by y and the prior
+// rates x and y independent.
+func (s *diamondSource) split(work []attempt) (first, second []attempt) {
+	for _, a := range work {
+		seq := a.node.Seq
+		if s.prior != nil && seq != "" && s.prior.Independent(a.phase.ID(), seq[len(seq)-1]) >= s.threshold {
+			second = append(second, a)
+		} else {
+			first = append(first, a)
 		}
-		n := &Node{
-			ID:        len(res.Nodes),
-			Level:     level,
-			Seq:       seq,
-			FP:        fp,
-			State:     st,
-			NumInstrs: fn.NumInstrs(),
-			CFKey:     fingerprint.Key(buf.CF),
-			fn:        fn,
-		}
-		key := make([]byte, 0, 1+len(buf.Enc))
-		key = append(append(key, flags), buf.Enc...)
-		res.keys.put(n.ID, string(key))
-		index.insert(flags, fp, n.ID)
-		res.Nodes = append(res.Nodes, n)
-		via = append(via, origin{parent: parent, phase: phase})
-		return n, true
 	}
+	return first, second
+}
 
-	rootNode, _ := add(root, opt.State{}, 0, "", -1, 0)
-	frontier := []*Node{rootNode}
-
-	edgeTarget := func(n *Node, phase byte) int {
+// prepare resolves the deferred diamonds on the serial path, once the
+// first pass has committed, and returns how many it completed: x at m
+// (m = y at n) equals y at x-at-n. n is found by walking m's sequence
+// from the root — each prefix of a Seq is the Seq of the node its
+// phase's edge leads to.
+func (s *diamondSource) prepare(second []attempt) int {
+	nodes := s.res.Nodes
+	edge := func(n *Node, phase byte) *Node {
+		if n == nil {
+			return nil
+		}
 		for _, e := range n.Edges {
 			if e.Phase == phase {
-				return e.To
+				return nodes[e.To]
 			}
 		}
-		return -1
+		return nil
 	}
-
-	evaluate := func(n *Node, p opt.Phase) (*rtl.Func, opt.State, bool) {
-		child := getClone(n.fn)
-		st := n.State
-		if !opt.Attempt(child, &st, p, opts.Machine) {
-			putClone(child)
-			return nil, st, false
+	s.completed = make(map[attemptKey]int32)
+	for _, a := range second {
+		m := a.node
+		y := m.Seq[len(m.Seq)-1]
+		n := nodes[0]
+		for i := 0; i < len(m.Seq)-1; i++ {
+			n = edge(n, m.Seq[i])
 		}
-		return child, st, true
+		if to := edge(edge(n, a.phase.ID()), y); to != nil && to.Quarantine == "" {
+			s.completed[attemptKey{m.ID, a.phase.ID()}] = int32(to.ID)
+			s.stats.Skipped++
+		} else {
+			s.stats.Fallbacks++
+		}
 	}
-
-	for len(frontier) > 0 {
-		if opts.Timeout > 0 && time.Since(start) > opts.Timeout {
-			res.abort(abortTimeout)
-			break
-		}
-		var next []*Node
-		levelStart := len(res.Nodes)
-		type deferredAttempt struct {
-			node  *Node
-			phase opt.Phase
-		}
-		var deferred []deferredAttempt
-
-		process := func(n *Node, p opt.Phase) {
-			res.AttemptedPhases++
-			child, st, active := evaluate(n, p)
-			if !active {
-				return
-			}
-			cn, isNew := add(child, st, n.Level+1, n.Seq+string(p.ID()), n.ID, p.ID())
-			n.Edges = append(n.Edges, Edge{Phase: p.ID(), To: cn.ID})
-			if isNew {
-				next = append(next, cn)
-			} else {
-				putClone(child)
-			}
-		}
-
-		for _, n := range frontier {
-			for _, p := range opts.Phases {
-				if !opt.Enabled(p, n.State) {
-					continue
-				}
-				if len(n.Seq) > 0 && n.Seq[len(n.Seq)-1] == p.ID() {
-					continue
-				}
-				// Prunable? m reached via (parent, y); x=p independent
-				// of y.
-				o := via[n.ID]
-				if o.parent >= 0 && prior != nil {
-					if ind := prior.Independent(p.ID(), o.phase); ind >= threshold {
-						deferred = append(deferred, deferredAttempt{n, p})
-						continue
-					}
-				}
-				process(n, p)
-			}
-		}
-
-		// Resolve deferred diamonds now that this level's direct
-		// evaluations are in place.
-		for _, d := range deferred {
-			o := via[d.node.ID]
-			parent := res.Nodes[o.parent]
-			completed := false
-			if m1 := edgeTarget(parent, d.phase.ID()); m1 >= 0 {
-				if p2 := edgeTarget(res.Nodes[m1], o.phase); p2 >= 0 {
-					// Diamond complete: x after y equals y after x.
-					d.node.Edges = append(d.node.Edges, Edge{Phase: d.phase.ID(), To: p2})
-					ps.Skipped++
-					completed = true
-				}
-			}
-			if !completed {
-				ps.Fallbacks++
-				process(d.node, d.phase)
-			}
-		}
-
-		for _, n := range frontier {
-			if !opts.KeepFuncs {
-				putClone(n.fn)
-				n.fn = nil
-			}
-		}
-		res.keys.noteLevel(levelStart)
-		if opts.MaxNodes > 0 && len(res.Nodes) > opts.MaxNodes {
-			res.abort(abortNodeCapReason(opts.MaxNodes))
-			break
-		}
-		frontier = next
-	}
-	res.Elapsed = time.Since(start)
-	return res, ps
+	return len(s.completed)
 }

@@ -350,13 +350,16 @@ type snapshot struct {
 	elapsed   time.Duration
 }
 
-// engine drives one enumeration: Run seeds it with a fresh root,
-// Resume with a loaded checkpoint, and both share the level loop.
+// engine drives one enumeration. Every path that builds a space —
+// Run, Resume, MergeShards, DeriveEquiv, RunWithIndependencePruning —
+// shares its level loop; they differ only in how the frontier is
+// seeded and in the attemptSource that answers each attempt.
 type engine struct {
 	res      *Result
 	opts     *Options
 	ins      *instruments
 	index    *dedupIndex
+	src      attemptSource
 	frontier []*Node
 	start    time.Time
 	// equivClasses is the third index tier (Options.Equiv): the
@@ -375,51 +378,74 @@ type engine struct {
 	// levelsSinceCkpt / lastCkpt gate the periodic checkpoints.
 	levelsSinceCkpt int
 	lastCkpt        time.Time
+
+	// ring carries outcomes from the workers to the committer; ringBase
+	// counts the attempts it carried in earlier passes.
+	ring     *outcomeRing
+	ringBase int64
+}
+
+// newEngine wires an engine around res with the live attempt source.
+// The caller seeds the frontier: seedRoot, or resumeEngine's
+// checkpoint.
+func newEngine(res *Result, start time.Time) *engine {
+	e := &engine{
+		res:   res,
+		opts:  &res.opts,
+		ins:   newInstruments(&res.opts, res.FuncName, start),
+		index: newDedupIndex(res.keys),
+		start: start,
+	}
+	if res.Equiv != nil {
+		e.equivClasses = make(map[string]int32)
+	}
+	e.src = liveSource{e}
+	return e
 }
 
 // Run exhaustively enumerates the phase order space of f. The function
 // is not modified.
 func Run(f *rtl.Func, opts Options) *Result {
-	opts.fill()
-	start := time.Now()
+	return rootEngine(f.Name, cleanRoot(f), opts).run()
+}
 
+// cleanRoot returns the unoptimized instance every enumeration of f
+// starts from.
+func cleanRoot(f *rtl.Func) *rtl.Func {
 	root := f.Clone()
 	rtl.Cleanup(root)
+	return root
+}
 
-	res := &Result{FuncName: f.Name, root: root.Clone(), opts: opts, keys: newKeyStore()}
+// rootEngine builds an engine whose frontier is the root instance, as
+// Run enumerates it. root becomes the result's unoptimized function
+// and is never modified.
+func rootEngine(name string, root *rtl.Func, opts Options) *engine {
+	opts.fill()
+	res := &Result{FuncName: name, root: root, opts: opts, keys: newKeyStore()}
 	if opts.Equiv {
 		// Equivalence-collapsed runs are not resumable (the class and
 		// alias tables are not persisted), so checkpointing is off.
 		res.opts.CheckpointPath = ""
 		res.Equiv = &EquivStats{RedundantByPhase: make(map[string]int)}
 	}
-	e := &engine{
-		res:   res,
-		opts:  &res.opts,
-		ins:   newInstruments(&res.opts, f.Name, start),
-		index: newDedupIndex(res.keys),
-		start: start,
-	}
-	if opts.Equiv {
-		e.equivClasses = make(map[string]int32)
-	}
-	rootBuf := fingerprint.GetBuffer()
-	rootFP := fingerprint.SummarizeInto(rootBuf, root)
-	var rootEquiv []byte
-	if opts.Equiv {
-		rootEquiv = dataflow.EquivEncode(nil, root)
-	}
-	rootNode, _ := e.add(root, opt.State{}, rootFP, rootBuf, rootEquiv, 0, 0, "")
-	fingerprint.PutBuffer(rootBuf)
+	e := newEngine(res, time.Now())
+	e.seedRoot(root.Clone())
+	return e
+}
+
+// seedRoot commits fn as node 0 through the path every discovered
+// instance takes — summary, index probe, commitInstance — and makes it
+// the first frontier.
+func (e *engine) seedRoot(fn *rtl.Func) {
+	o := outcome{active: true, fn: fn}
+	e.summarize(&o, 0)
+	n, _ := e.commitInstance(nil, 0, &o)
+	fingerprint.PutBuffer(o.buf)
+	e.index.promote()
 	e.ins.nodes.Add(1)
 	e.ins.mNodes.Inc()
-	if opts.Check {
-		if err := check.Err(root, opts.Machine); err != nil {
-			rootNode.CheckErr = err.Error()
-		}
-	}
-	e.frontier = []*Node{rootNode}
-	return e.run()
+	e.frontier = []*Node{n}
 }
 
 // Resume continues an interrupted enumeration from a checkpoint loaded
@@ -450,21 +476,20 @@ func Resume(res *Result, opts Options) (*Result, error) {
 		}
 	}
 	res.opts = opts
+	return resumeEngine(res).run(), nil
+}
+
+// resumeEngine builds an engine that continues res from its checkpoint
+// frontier, consuming the checkpoint.
+func resumeEngine(res *Result) *engine {
+	cp := res.Checkpoint
 	res.Checkpoint = nil
 	res.Aborted, res.AbortReason = false, ""
-	start := time.Now()
-	e := &engine{
-		res:   res,
-		opts:  &res.opts,
-		ins:   newInstruments(&res.opts, res.FuncName, start),
-		index: newDedupIndex(res.keys),
-		start: start,
-		prior: res.Elapsed,
-	}
-	// Rebuild the two-tier index from the loaded node table. The full
-	// keys already sit in the keyStore (Load retired them into blobs);
-	// quarantined nodes are skipped — their synthetic keys can never
-	// match a real instance, so they never belonged in the index.
+	e := newEngine(res, time.Now())
+	e.prior = res.Elapsed
+	// Rebuild the two-tier index from the node table. Quarantined nodes
+	// are skipped — their synthetic keys can never match a real
+	// instance, so they never belonged in the index.
 	for _, n := range res.Nodes {
 		if n.Quarantine != "" {
 			continue
@@ -473,10 +498,10 @@ func Resume(res *Result, opts Options) (*Result, error) {
 	}
 	e.ins.seed(res.Stats, len(res.Nodes))
 	e.frontier = cp.Frontier
-	return e.run(), nil
+	return e
 }
 
-// mergeKind classifies how add disposed of an instance.
+// mergeKind classifies how commitInstance disposed of an instance.
 type mergeKind int
 
 const (
@@ -490,59 +515,6 @@ const (
 	// mergeNew: a new node was created.
 	mergeNew
 )
-
-// add interns one instance, returning its node and how it was merged.
-// The caller supplies the instance summary (fingerprint plus canonical
-// encoding and CF key in buf, and — under Options.Equiv — the
-// equivalence encoding) computed by the workers, so this — the serial
-// merge path — does only index probes and, for new nodes, the key
-// copy. phase is the producing phase's ID (0 for the root), used to
-// attribute equivalence-tier folds.
-func (e *engine) add(fn *rtl.Func, st opt.State, fp fingerprint.FP, buf *fingerprint.Buffer, equiv []byte, phase byte, level int, seq string) (*Node, mergeKind) {
-	flags := stateBits(st)
-	if id, ok := e.index.lookup(flags, fp, buf.Enc); ok {
-		return e.res.Nodes[id], mergeDup
-	}
-	if e.res.Equiv != nil {
-		e.res.Equiv.Raw++
-		ckey := string(flags) + string(equiv)
-		if id, ok := e.equivClasses[ckey]; ok {
-			// Raw-distinct instance, known class: record its canonical
-			// key as an alias so future identical duplicates of this
-			// spelling resolve to the class node too.
-			rawKey := make([]byte, 0, 1+len(buf.Enc))
-			rawKey = append(append(rawKey, flags), buf.Enc...)
-			e.index.insertAlias(flags, fp, string(rawKey), int(id))
-			n := e.res.Nodes[id]
-			n.EquivRaw++
-			e.res.Equiv.Merged++
-			if phase != 0 {
-				e.res.Equiv.RedundantByPhase[string(phase)]++
-			}
-			return n, mergeEquiv
-		}
-	}
-	n := &Node{
-		ID:        len(e.res.Nodes),
-		Level:     level,
-		Seq:       seq,
-		FP:        fp,
-		State:     st,
-		NumInstrs: fn.NumInstrs(),
-		CFKey:     fingerprint.Key(buf.CF),
-		fn:        fn,
-	}
-	key := make([]byte, 0, 1+len(buf.Enc))
-	key = append(append(key, flags), buf.Enc...)
-	e.res.keys.put(n.ID, string(key))
-	e.index.insert(flags, fp, n.ID)
-	e.res.Nodes = append(e.res.Nodes, n)
-	if e.res.Equiv != nil {
-		n.EquivRaw = 1
-		e.equivClasses[string(flags)+string(equiv)] = int32(n.ID)
-	}
-	return n, mergeNew
-}
 
 // addQuarantined interns the dead-end node of a quarantined attempt.
 // The synthetic key ("Q" + sequence) cannot collide with a real
@@ -651,7 +623,10 @@ func (e *engine) maybeCheckpoint() {
 	}
 }
 
-// run is the level loop shared by Run and Resume.
+// run is the package's one level loop: it builds each level's work
+// list, enforces the caps, deadline and cancellation, has e.src answer
+// the attempts on the worker pool (runLevel), and advances the
+// boundary. Every way of producing a space runs through it.
 func (e *engine) run() *Result {
 	opts := e.opts
 	res := e.res
@@ -724,15 +699,19 @@ func (e *engine) run() *Result {
 		ins.beginLevel(level, len(frontier), len(work))
 		levelSpan := ins.tracer.Begin("search.level", "search", 0)
 
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = runtime.NumCPU()
+		// Diamond completion defers part of the level to a second pass,
+		// prepared serially once the first pass has committed; the
+		// attempts it answers without evaluating leave AttemptedPhases.
+		first, second := work, []attempt(nil)
+		ds, split := e.src.(*diamondSource)
+		if split {
+			first, second = ds.split(work)
 		}
-		if workers > len(work) {
-			workers = len(work)
+		next := e.runLevel(first, canceled)
+		if len(second) > 0 && !res.Aborted {
+			res.AttemptedPhases -= ds.prepare(second)
+			next = append(next, e.runLevel(second, canceled)...)
 		}
-
-		next := e.runLevel(work, workers, canceled)
 		levelSpan.End(map[string]any{
 			"level": level, "frontier": len(frontier), "attempts": len(work), "nodes": len(res.Nodes),
 		})
@@ -827,10 +806,24 @@ func (e *engine) checkAbort(canceled func() bool) bool {
 // clones exist — but with no barrier: workers keep evaluating while
 // the committer merges, and a slow attempt stalls only commits beyond
 // it, not the evaluation pipeline.
-func (e *engine) runLevel(work []attempt, workers int, canceled func() bool) []*Node {
+func (e *engine) runLevel(work []attempt, canceled func() bool) []*Node {
 	opts, res, ins := e.opts, e.res, e.ins
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	if workers > len(work) {
+		workers = len(work)
+	}
 
-	ring := newOutcomeRing()
+	// One ring serves every pass of the engine. Its indices run on
+	// across passes, so a slot's publication marker from an earlier
+	// pass never reads as ready for this one.
+	if e.ring == nil {
+		e.ring = newOutcomeRing()
+	}
+	ring, base := e.ring, e.ringBase
+	e.ringBase += int64(len(work))
 	var claim, committed atomic.Int64
 	// notify wakes the committer after a publish; space wakes
 	// window-blocked workers after a commit. Both are best-effort
@@ -880,16 +873,7 @@ func (e *engine) runLevel(work []attempt, workers int, canceled func() bool) []*
 					began = time.Now()
 				}
 				expandSpan := ins.tracer.Begin("search.expand", "search", lane)
-				o := evalAttempt(res.root, a, opts, ins, lane)
-				if o.active {
-					// Resolve against the striped index here, on the
-					// worker: a concurrent probe either finds the
-					// committed node, finds the pending entry an
-					// earlier probe parked, or parks a new one. The
-					// committer only turns the result into the merge
-					// decision.
-					o.dup, o.pend = e.index.resolve(stateBits(o.st), o.fp, o.buf.Enc)
-				}
+				o := e.src.eval(a, lane)
 				if expandSpan.Active() {
 					expandSpan.End(map[string]any{
 						"seq":    a.node.Seq,
@@ -902,7 +886,7 @@ func (e *engine) runLevel(work []attempt, workers int, canceled func() bool) []*
 				} else {
 					ins.levelDone.Add(1)
 				}
-				ring.put(i, o)
+				ring.put(base+i, o)
 				select {
 				case notify <- struct{}{}:
 				default:
@@ -925,7 +909,7 @@ func (e *engine) runLevel(work []attempt, workers int, canceled func() bool) []*
 	total := int64(len(work))
 commitLoop:
 	for i := int64(0); i < total; i++ {
-		for !ring.ready(i) {
+		for !ring.ready(base + i) {
 			if e.checkAbort(canceled) {
 				break commitLoop
 			}
@@ -935,7 +919,7 @@ commitLoop:
 			case <-tickC:
 			}
 		}
-		o := ring.take(i)
+		o := ring.take(base + i)
 		committed.Store(i + 1)
 		select {
 		case space <- struct{}{}:
@@ -962,10 +946,10 @@ commitLoop:
 			hi = total
 		}
 		for i := committed.Load(); i < hi; i++ {
-			if !ring.ready(i) {
+			if !ring.ready(base + i) {
 				continue // claimed but never published
 			}
-			o := ring.take(i)
+			o := ring.take(base + i)
 			putClone(o.fn)
 			if o.buf != nil {
 				fingerprint.PutBuffer(o.buf)
@@ -982,9 +966,9 @@ commitLoop:
 
 // commitOutcome applies one evaluated outcome on the serial commit
 // path, in attempt order, appending any new node to next and
-// returning it. This is the old serial merge loop body verbatim in
-// its observable effects: quarantine nodes, edge append order, merge
-// classification and every counter match the chunked engine.
+// returning it. Quarantine nodes, edge append order, merge
+// classification and every counter are decided here, whatever source
+// answered the attempt.
 func (e *engine) commitOutcome(a attempt, o *outcome, next []*Node) []*Node {
 	ins := e.ins
 	if o.quarantine != "" {
@@ -1002,15 +986,16 @@ func (e *engine) commitOutcome(a attempt, o *outcome, next []*Node) []*Node {
 		ins.observeOutcome(false, false)
 		return next
 	}
-	cn, kind := e.commitInstance(a, o)
-	fingerprint.PutBuffer(o.buf)
+	cn, kind := e.commitInstance(a.node, a.phase.ID(), o)
+	if o.buf != nil {
+		fingerprint.PutBuffer(o.buf)
+	}
 	ins.observeOutcome(true, kind == mergeNew)
 	if kind == mergeEquiv {
 		ins.observeEquivMerge()
 	}
 	a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: cn.ID})
 	if kind == mergeNew {
-		cn.CheckErr = o.checkErr
 		next = append(next, cn)
 	} else {
 		putClone(o.fn) // duplicate instance: merged into cn
@@ -1025,8 +1010,9 @@ func (e *engine) commitOutcome(a attempt, o *outcome, next []*Node) []*Node {
 // the instance's discovery — because commits happen in attempt order,
 // it is the same attempt the serial engine would have discovered it
 // on — and either folds it into an equivalence class (Options.Equiv)
-// or creates the node and assigns the next ID.
-func (e *engine) commitInstance(a attempt, o *outcome) (*Node, mergeKind) {
+// or creates the node and assigns the next ID. parent is nil for the
+// root, which phase 0 "produces".
+func (e *engine) commitInstance(parent *Node, phase byte, o *outcome) (*Node, mergeKind) {
 	if o.pend == nil {
 		return e.res.Nodes[o.dup], mergeDup
 	}
@@ -1049,21 +1035,21 @@ func (e *engine) commitInstance(a attempt, o *outcome) (*Node, mergeKind) {
 			n := e.res.Nodes[id]
 			n.EquivRaw++
 			e.res.Equiv.Merged++
-			if a.phase.ID() != 0 {
-				e.res.Equiv.RedundantByPhase[string(a.phase.ID())]++
-			}
+			e.res.Equiv.RedundantByPhase[string(phase)]++
 			return n, mergeEquiv
 		}
 	}
 	n := &Node{
 		ID:        len(e.res.Nodes),
-		Level:     a.node.Level + 1,
-		Seq:       a.node.Seq + string(a.phase.ID()),
 		FP:        o.fp,
 		State:     o.st,
-		NumInstrs: o.fn.NumInstrs(),
-		CFKey:     fingerprint.Key(o.buf.CF),
+		NumInstrs: o.numInstrs,
+		CFKey:     o.cfKey,
+		CheckErr:  o.checkErr,
 		fn:        o.fn,
+	}
+	if parent != nil {
+		n.Level, n.Seq = parent.Level+1, parent.Seq+string(phase)
 	}
 	// The pending entry's key was copied on the worker; it becomes the
 	// node key directly — no copy on the commit path.
@@ -1097,13 +1083,16 @@ func putClone(fn *rtl.Func) {
 	}
 }
 
-// outcome is the result of evaluating one attempt on a worker. Active
-// outcomes carry the instance summary — fingerprint plus the pooled
-// buffer holding the canonical encoding and CF key — and the striped
-// index's probe result, both computed on the worker, so the serial
-// committer only turns them into the merge decision. The committer
-// returns buf to the fingerprint pool and clears the ring slot the
-// outcome traveled in.
+// outcome is the answer to one attempt, produced on a worker. Every
+// source sets active or quarantine (neither = dormant). An active
+// outcome carries the child's summary — st, fp, checkErr, and for a
+// pending probe result the node fields numInstrs and cfKey — plus the
+// striped index's probe result, so the serial committer only turns it
+// into the merge decision. The live source also carries the child
+// instance fn and its pooled summary buffer buf (the committer returns
+// both to their pools unless fn becomes a node), and under
+// Options.Equiv the equivalence encoding equiv. The committer clears
+// the ring slot the outcome traveled in.
 type outcome struct {
 	active     bool
 	fn         *rtl.Func
@@ -1113,6 +1102,8 @@ type outcome struct {
 	equiv      []byte // equivalence encoding, Options.Equiv only
 	checkErr   string
 	quarantine string
+	numInstrs  int
+	cfKey      fingerprint.Key
 
 	// Probe result, set by the worker for active outcomes: either the
 	// committed node this instance duplicates (pend nil, dup ≥ 0) or
@@ -1122,21 +1113,47 @@ type outcome struct {
 	pend *pendingNode
 }
 
-// evalAttempt evaluates one (node, phase) pair: materialize the parent
-// instance (clone, or full replay under NaiveReplay), apply the phase,
-// and optionally verify the child. Trace spans mark the phase
-// application and the semantic verification on the worker's lane.
-func evalAttempt(root *rtl.Func, a attempt, opts *Options, ins *instruments, lane int) outcome {
-	o := applyPhase(root, a, opts, ins, lane)
+// attemptSource answers "what does phase p produce at node n" for the
+// level loop. eval runs on the worker goroutines, concurrently, and
+// may only read state that is immutable during the level: the parent
+// node's key, state and retained instance, the source's own tables,
+// and the striped index through resolve. The engine commits the
+// outcomes in attempt order, so a source decides what each attempt
+// produced, never when it commits. Sources: liveSource (Run, Resume),
+// shardSource (MergeShards), deriveSource (DeriveEquiv) and
+// diamondSource (RunWithIndependencePruning).
+type attemptSource interface {
+	eval(a attempt, lane int) outcome
+}
+
+// liveSource evaluates attempts by applying the phase: clone the
+// parent instance (or replay it under NaiveReplay), apply, verify, and
+// summarize the child.
+type liveSource struct{ e *engine }
+
+func (s liveSource) eval(a attempt, lane int) outcome {
+	e := s.e
+	o := applyPhase(e.res.root, a, e.opts, e.ins, lane)
 	if o.quarantine != "" || !o.active {
 		return o
 	}
-	if opts.Verifier != nil {
-		if err := opts.Verifier(o.fn); err != nil {
+	if e.opts.Verifier != nil {
+		if err := e.opts.Verifier(o.fn); err != nil {
 			panic(fmt.Sprintf("search: instance %q+%c misbehaves: %v",
 				a.node.Seq, a.phase.ID(), err))
 		}
 	}
+	e.summarize(&o, lane)
+	return o
+}
+
+// summarize completes a live active outcome on its worker: the
+// semantic check, one fused scan yielding the canonical encoding, CF
+// key and fingerprint, the equivalence encoding under Options.Equiv,
+// and the index probe — keeping the serial path free of encoding work.
+// Trace spans mark the verification on the worker's lane.
+func (e *engine) summarize(o *outcome, lane int) {
+	opts, ins := e.opts, e.ins
 	if opts.Check {
 		verifySpan := ins.tracer.Begin("check.verify", "check", lane)
 		err := check.Err(o.fn, opts.Machine)
@@ -1147,9 +1164,6 @@ func evalAttempt(root *rtl.Func, a attempt, opts *Options, ins *instruments, lan
 			o.checkErr = err.Error()
 		}
 	}
-	// Summarize the child here, on the worker: one fused scan yields
-	// the canonical encoding, CF key and fingerprint the merge loop
-	// needs, keeping the serial path free of encoding work.
 	var keyBegan time.Time
 	if ins.timed {
 		keyBegan = time.Now()
@@ -1166,7 +1180,15 @@ func evalAttempt(root *rtl.Func, a attempt, opts *Options, ins *instruments, lan
 	if ins.timed {
 		ins.observeStateKey(keyBegan)
 	}
-	return o
+	// A concurrent probe either finds the committed node, finds the
+	// pending entry an earlier probe parked, or parks a new one. Only
+	// a pending result can become a node, so only it copies the node
+	// fields out of the instance and the pooled buffer.
+	o.dup, o.pend = e.index.resolve(stateBits(o.st), o.fp, o.buf.Enc)
+	if o.pend != nil {
+		o.numInstrs = o.fn.NumInstrs()
+		o.cfKey = fingerprint.Key(o.buf.CF)
+	}
 }
 
 // applyPhase guards the phase application: with a watchdog configured
@@ -1240,30 +1262,15 @@ func applyPhaseRecover(root *rtl.Func, a attempt, opts *Options, ins *instrument
 	return outcome{active: true, fn: child, st: st}
 }
 
-// stateKey combines the canonical instance encoding with the gating
-// state, so instances that look identical but have different phase
-// legality (e.g. one has had instruction selection applied) stay
-// distinct.
-func stateKey(fn *rtl.Func, st opt.State) string {
-	var flags byte
-	if st.RegAssigned {
-		flags |= 1
-	}
-	if st.KApplied {
-		flags |= 2
-	}
-	if st.SApplied {
-		flags |= 4
-	}
-	return string(flags) + string(fingerprint.Encode(fn))
-}
-
 // replaySeq reconstructs an instance by cloning the unoptimized
 // function and applying an active phase sequence.
 func replaySeq(root *rtl.Func, seq string, d *machine.Desc, st *opt.State) *rtl.Func {
 	f := root.Clone()
 	for i := 0; i < len(seq); i++ {
 		p := opt.ByID(seq[i])
+		if p == nil {
+			panic(fmt.Sprintf("search: unknown phase %q in sequence", seq[i]))
+		}
 		if !opt.Attempt(f, st, p, d) {
 			panic(fmt.Sprintf("search: replay of %q: phase %c dormant", seq, seq[i]))
 		}
@@ -1282,18 +1289,8 @@ func (r *Result) Instance(n *Node) *rtl.Func {
 	if n.fn != nil {
 		return n.fn.Clone()
 	}
-	f := r.root.Clone()
 	st := opt.State{}
-	for i := 0; i < len(n.Seq); i++ {
-		p := opt.ByID(n.Seq[i])
-		if p == nil {
-			panic(fmt.Sprintf("search: unknown phase %q in sequence", n.Seq[i]))
-		}
-		if !opt.Attempt(f, &st, p, r.opts.Machine) {
-			panic(fmt.Sprintf("search: replay of %q: phase %c dormant", n.Seq, n.Seq[i]))
-		}
-	}
-	return f
+	return replaySeq(r.root, n.Seq, r.opts.Machine, &st)
 }
 
 // CheckFailures returns the nodes whose instances the semantic

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -56,9 +57,35 @@ func TestShardedEnumerationMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Warm-up, merge and derivation each run the engine's worker pool
+	// under a CPU-budget grant: sample the in-use gauge throughout the
+	// flight, and every grant must be back once it is served.
+	inUse := s.cpu.gInUse
+	var peak int64
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			peak = max(peak, inUse.Value())
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
 	status, doc, _ = post(t, ts, `{"source":`+jsonStr(sumSrc)+`,"options":{"equiv":true}}`)
+	close(stop)
+	<-sampled
 	if status != http.StatusOK {
 		t.Fatalf("sharded equiv request: status %d: %v", status, doc)
+	}
+	if limit := int64(runtime.GOMAXPROCS(0)); peak > limit {
+		t.Fatalf("server.cpu.inuse peaked at %d during the sharded equiv flight, above GOMAXPROCS %d", peak, limit)
+	}
+	if v := inUse.Value(); v != 0 {
+		t.Fatalf("server.cpu.inuse = %d after the sharded equiv flight, want 0", v)
 	}
 	if doc["space_hash"] != wantEq {
 		t.Fatalf("sharded equiv hash %v != direct equiv hash %s", doc["space_hash"], wantEq)

@@ -57,7 +57,7 @@ func (d *dispatcher) shardEnumerate(fl *flight) (*search.Result, bool) {
 		return nil, false
 	}
 
-	warmup := d.shardWarmup(fl, k)
+	warmup, width := d.shardWarmup(fl, k)
 	if warmup == nil || warmup.Aborted {
 		return nil, false
 	}
@@ -175,7 +175,13 @@ func (d *dispatcher) shardEnumerate(fl *flight) (*search.Result, bool) {
 		return nil, false
 	}
 
+	// The merge runs the engine's level loop at the warm-up's width
+	// (MergeShards takes it from the base result), so it draws that
+	// many tokens again; the warm-up grant was returned while the
+	// shards ran on the fleet.
+	grant, _ := d.s.cpu.acquire(fl.ctx, width)
 	merged, err := search.MergeShards(warmup, shards)
+	d.s.cpu.release(grant)
 	if err != nil {
 		d.shardMergeFails.Inc()
 		d.s.logger.Warn("dist shard merge failed", "flight_id", fl.id, "err", err.Error())
@@ -191,8 +197,9 @@ func (d *dispatcher) shardEnumerate(fl *flight) (*search.Result, bool) {
 // shardWarmup runs (or resumes) the flight's enumeration with the
 // pause-at-frontier option: the returned result either carries a
 // checkpoint whose frontier is ready to partition, or is the complete
-// space. nil reports an unresumable checkpoint; the caller falls back.
-func (d *dispatcher) shardWarmup(fl *flight, k int) *search.Result {
+// space, and the width it ran at. nil reports an unresumable
+// checkpoint; the caller falls back.
+func (d *dispatcher) shardWarmup(fl *flight, k int) (*search.Result, int) {
 	s := d.s
 	workers, _ := s.cpu.acquire(fl.ctx, s.cfg.SearchWorkers)
 	defer s.cpu.release(workers)
@@ -226,17 +233,17 @@ func (d *dispatcher) shardWarmup(fl *flight, k int) *search.Result {
 			res, rerr := search.Resume(prev, opts)
 			if rerr != nil {
 				s.logger.Warn("dist shard warmup resume failed", "flight_id", fl.id, "err", rerr.Error())
-				return nil
+				return nil, workers
 			}
-			return res
+			return res, workers
 		case err == nil && !prev.Aborted:
 			// Completed but never promoted (crash between rename and
 			// promotion); it is the space.
-			return prev
+			return prev, workers
 		}
 	}
 	s.reg.Counter("server.enumerations").Inc()
-	return search.Run(fl.fn, opts)
+	return search.Run(fl.fn, opts), workers
 }
 
 // shardFinish adapts a complete merged (or warmup-complete) default
@@ -254,12 +261,15 @@ func (d *dispatcher) shardFinish(fl *flight, full *search.Result) (*search.Resul
 		d.shardFallbacks.Inc()
 		return nil, false
 	}
+	// Derivation runs the engine's level loop: draw its width from the
+	// CPU budget like any enumeration.
+	workers, _ := d.s.cpu.acquire(fl.ctx, d.s.cfg.SearchWorkers)
+	defer d.s.cpu.release(workers)
 	derived, err := search.DeriveEquiv(full, search.Options{
 		MaxSeqPerLevel: fl.no.Cap,
 		MaxNodes:       fl.no.MaxNodes,
 		Check:          fl.no.Check,
-		Logger:         d.s.logger,
-		Metrics:        d.s.reg,
+		Workers:        max(workers, 1),
 	})
 	if err != nil {
 		d.s.logger.Warn("dist shard equiv derivation failed", "flight_id", fl.id, "err", err.Error())
