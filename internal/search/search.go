@@ -118,7 +118,9 @@ type Options struct {
 	// level boundary whose frontier holds at least this many unexpanded
 	// nodes: the Result comes back un-aborted with Checkpoint set to the
 	// live frontier, exactly as if it had been loaded from a checkpoint
-	// file. Callers partition that frontier (PartitionCheckpoint) or
+	// file. Run's seeded root is its first boundary, so StopAtFrontier 1
+	// pauses before any phase is applied; Resume pauses only at
+	// boundaries after the one it starts from. Callers partition that frontier (PartitionCheckpoint) or
 	// hand the Result straight back to Resume. A space that completes
 	// before the frontier ever grows that wide returns complete, with no
 	// Checkpoint. Ignored under Equiv (equivalence-collapsed runs are
@@ -371,6 +373,9 @@ type engine struct {
 	// prior is the elapsed time accumulated before a resume.
 	prior time.Duration
 	done  <-chan struct{}
+	// atRoot marks a frontier seeded with the root (seedRoot): the
+	// run's first level boundary, where StopAtFrontier already applies.
+	atRoot bool
 
 	// snap is the last consistent level boundary; abort checkpoints
 	// persist it.
@@ -446,6 +451,7 @@ func (e *engine) seedRoot(fn *rtl.Func) {
 	e.ins.nodes.Add(1)
 	e.ins.mNodes.Inc()
 	e.frontier = []*Node{n}
+	e.atRoot = true
 }
 
 // Resume continues an interrupted enumeration from a checkpoint loaded
@@ -655,7 +661,8 @@ func (e *engine) run() *Result {
 
 	e.lastCkpt = e.start
 	e.snap = e.boundary()
-	for len(e.frontier) > 0 {
+	paused := e.atRoot && e.pause()
+	for !paused && len(e.frontier) > 0 {
 		frontier := e.frontier
 		if canceled() {
 			e.abort(abortCanceledReason(opts.Ctx))
@@ -749,11 +756,7 @@ func (e *engine) run() *Result {
 			e.abort(abortNodeCapReason(opts.MaxNodes))
 			break
 		}
-		if opts.StopAtFrontier > 0 && res.Equiv == nil && len(e.frontier) >= opts.StopAtFrontier {
-			// Pause at this boundary: expose the live frontier as an
-			// in-memory checkpoint. The final write below then persists
-			// the paused (resumable) state rather than a complete space.
-			res.Checkpoint = &Checkpoint{Frontier: e.frontier, SavedAt: time.Now()}
+		if e.pause() {
 			break
 		}
 		e.maybeCheckpoint()
@@ -766,6 +769,18 @@ func (e *engine) run() *Result {
 		e.writeCheckpoint(&e.snap)
 	}
 	return res
+}
+
+// pause stops the run at the current level boundary when the frontier
+// has grown to Options.StopAtFrontier nodes, exposing it as an
+// in-memory checkpoint. The final write in run then persists the
+// paused (resumable) state rather than a complete space.
+func (e *engine) pause() bool {
+	if e.opts.StopAtFrontier <= 0 || e.res.Equiv != nil || len(e.frontier) < e.opts.StopAtFrontier {
+		return false
+	}
+	e.res.Checkpoint = &Checkpoint{Frontier: e.frontier, SavedAt: time.Now()}
+	return true
 }
 
 // attempt is one (node, phase) pair scheduled for evaluation.

@@ -205,20 +205,48 @@ func TestPartitionCheckpointShape(t *testing.T) {
 
 // TestStopAtFrontierResumeInMemory checks the warmup pause composes
 // with a direct in-memory Resume: pausing and continuing yields the
-// reference space without any serialization round trip.
+// reference space without any serialization round trip. k=1 is the
+// root pause — Run's seeded root is its first level boundary, so the
+// pause applies no phase — and a one-way partition of any pause is
+// Resume's serial continuation, the whole space as one shard.
 func TestStopAtFrontierResumeInMemory(t *testing.T) {
 	_, f := compileFunc(t, sumSrc, "sum")
 	want := canonical(t, search.Run(f, search.Options{}))
-	warmup := pauseAt(t, sumSrc, "sum", 2)
-	resumed, err := search.Resume(warmup, search.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Aborted {
-		t.Fatalf("resumed run aborted: %s", resumed.AbortReason)
-	}
-	if !bytes.Equal(canonical(t, resumed), want) {
-		t.Fatal("pause + in-memory resume differs from the uninterrupted run")
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			warmup := pauseAt(t, sumSrc, "sum", k)
+			if k == 1 {
+				if len(warmup.Nodes) != 1 || warmup.AttemptedPhases != 0 {
+					t.Fatalf("root pause holds %d nodes after %d attempts, want 1 node and no attempts",
+						len(warmup.Nodes), warmup.AttemptedPhases)
+				}
+				if fr := warmup.Checkpoint.Frontier; len(fr) != 1 || fr[0] != warmup.Root() {
+					t.Fatalf("root pause frontier = %d nodes, want [root]", len(fr))
+				}
+			}
+
+			docs, _, err := search.PartitionCheckpoint(warmup, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(docs) != 1 {
+				t.Fatalf("one-way partition made %d documents, want 1", len(docs))
+			}
+			if got := canonical(t, completeShard(t, docs[0], false, nil)); !bytes.Equal(got, want) {
+				t.Fatal("one-way partition + resume differs from the uninterrupted run")
+			}
+
+			resumed, err := search.Resume(warmup, search.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Aborted {
+				t.Fatalf("resumed run aborted: %s", resumed.AbortReason)
+			}
+			if !bytes.Equal(canonical(t, resumed), want) {
+				t.Fatal("pause + in-memory resume differs from the uninterrupted run")
+			}
+		})
 	}
 }
 

@@ -456,12 +456,6 @@ func (st *diskStore) diskBytes() int64 {
 	return st.total
 }
 
-// readCkpt returns the raw checkpoint bytes for k (os.IsNotExist when
-// none).
-func (st *diskStore) readCkpt(k cacheKey) ([]byte, error) {
-	return os.ReadFile(st.ckptPath(k))
-}
-
 // writeCkpt atomically replaces k's checkpoint file with b — the
 // coordinator mirroring a worker's uploaded checkpoint into the slot
 // the local resume path and re-dispatch seeding both read. Plain

@@ -210,7 +210,7 @@ func TestDiskStorePinnedCkptMirrorsSurviveSweep(t *testing.T) {
 	if _, err := os.Stat(st.ckptPath(victim)); !os.IsNotExist(err) {
 		t.Fatalf("unpinned shard mirror survived a 1-byte budget (err=%v)", err)
 	}
-	if b, err := st.readCkpt(pinned); err != nil || string(b) != "shard checkpoint" {
+	if b, err := os.ReadFile(st.ckptPath(pinned)); err != nil || string(b) != "shard checkpoint" {
 		t.Fatalf("pinned mirror unreadable mid-pin: %q, %v", b, err)
 	}
 

@@ -107,6 +107,10 @@ exp=$(stat_counter "dist.lease_expiries{worker=\"$victim\"}")
 [ "$exp" -ge 1 ] || fail "no lease expiry for $victim; kill landed after completion?"
 done_n=$(stat_counter "dist.completions{worker=\"$survivor\"}")
 [ "$done_n" -ge 1 ] || fail "survivor $survivor never completed the assignment"
+# Without -shard-fanout the fleet still runs the space as one frontier
+# shard: the recovery above went through the shard path.
+[ "$(stat_counter dist.shard.splits)" -ge 1 ] && [ "$(stat_counter dist.shard.assignments)" = 1 ] \
+	|| fail "dist.shard.splits/assignments = $(stat_counter dist.shard.splits)/$(stat_counter dist.shard.assignments), want >= 1 and 1"
 
 # Byte identity of what the coordinator serves from its cache.
 key=$(jq -r .key "$tmp/r1.json")
