@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint lint-fixtures bench-smoke bench-search bench-parallel resume-smoke serve-smoke obs-smoke cluster-smoke chaos shard-smoke
+.PHONY: check fmt vet build test race lint lint-fixtures bench-smoke bench-search bench-self bench-parallel resume-smoke serve-smoke obs-smoke cluster-smoke chaos shard-smoke
 
 check: fmt vet build test race lint lint-fixtures
 
@@ -79,6 +79,13 @@ bench-smoke:
 bench-search:
 	$(GO) test -run '^$$' -bench 'BenchmarkSearchRun/(bmh_search|get_code)' -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkDedupIndex -benchmem -benchtime 100x ./internal/search/
+
+# The enumeration-service benchmark is a separate module (perfbench/,
+# replacing repro with this checkout), so no other target builds it:
+# vet and test it here, so an API change in search or server that
+# breaks the benchmark fails CI instead of the next benchmark run.
+bench-self:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Parallel-engine scaling sweep: BenchmarkSearchRun/bmh_search medians
 # at GOMAXPROCS 1/2/4/8/16, striped-index contention counters, and the

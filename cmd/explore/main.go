@@ -38,9 +38,11 @@
 //	                  finished space
 //	-resume           continue each function from its checkpoint file in
 //	                  the -checkpoint dir instead of starting over
-//	-ckpt-levels n    checkpoint every n completed levels (default 1)
-//	-ckpt-interval d  also checkpoint when d has passed since the last
-//	                  write (0 = level cadence only)
+//	-ckpt-levels n    checkpoint at most every n completed levels
+//	                  (default 1)
+//	-ckpt-interval d  and only once d has passed since the last write
+//	                  (0 = level cadence only); both gates must pass, so
+//	                  -ckpt-interval alone gives a wall-clock cadence
 //	-watchdog d       quarantine any single phase application running
 //	                  longer than d (0 = no watchdog)
 //	-faults spec      inject faults (internal/faultinject syntax); the
@@ -116,8 +118,8 @@ func run() int {
 		searchW   = flag.Int("search-workers", 0, "worker parallelism inside each enumeration (0 = NumCPU; the space is byte-identical at any width)")
 		ckptDir   = flag.String("checkpoint", "", "write crash-safe checkpoints to <dir>/<bench>.<func>.ckpt.space.gz")
 		resume    = flag.Bool("resume", false, "continue each function from its -checkpoint file")
-		ckptEvery = flag.Int("ckpt-levels", 1, "checkpoint every n completed levels")
-		ckptIval  = flag.Duration("ckpt-interval", 0, "also checkpoint after this much time since the last write (0 = level cadence only)")
+		ckptEvery = flag.Int("ckpt-levels", 1, "checkpoint at most every n completed levels")
+		ckptIval  = flag.Duration("ckpt-interval", 0, "and only once this much time has passed since the last write (0 = level cadence only)")
 		watchdog  = flag.Duration("watchdog", 0, "quarantine a phase application running longer than this (0 = off)")
 		faultSpec = flag.String("faults", "", "fault injection spec (falls back to $"+faultinject.EnvVar+")")
 		tflags    telemetry.Flags

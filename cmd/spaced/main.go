@@ -100,7 +100,7 @@ func run() int {
 	flightLogSize := fs.Int("flights", 128, "requests replayed by GET /v1/debug/flights")
 	debugPprof := fs.Bool("debug-pprof", false, "serve net/http/pprof under /debug/pprof/")
 	diskMax := fs.Int64("disk-max-bytes", 0, "disk cache budget; least-recently-used spaces are evicted above it (0 = unbounded)")
-	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "coordinator: assignment lease; a worker silent this long is re-dispatched")
+	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "coordinator: assignment lease; a worker silent this long is re-dispatched, and a third of it is the heartbeat and checkpoint cadence")
 	pollWait := fs.Duration("poll-wait", 5*time.Second, "coordinator: how long a worker long-poll parks before answering 204")
 	dispatchAttempts := fs.Int("dispatch-attempts", 3, "coordinator: dispatches per assignment before falling back to local enumeration")
 	shardFanout := fs.Int("shard-fanout", 0, "coordinator: split each enumeration into this many frontier shards across the fleet (capped by live workers) and merge the byte-identical space back (0/1 = whole space as one shard)")

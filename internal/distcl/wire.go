@@ -1,7 +1,5 @@
 package distcl
 
-import "repro/internal/rtl"
-
 // The dist protocol endpoints, mounted by the coordinator under
 // /v1/dist/. Every request is a POST with a JSON body; every mutating
 // request is idempotent (see the package comment), so the Client can
@@ -60,14 +58,14 @@ type SearchOptions struct {
 	DeriveEquiv bool `json:"derive_equiv,omitempty"`
 }
 
-// Assignment is one unit of leased work: a frontier shard of Func's
-// space, resumed from CheckpointB64 under Options and reported back
-// under AssignmentID. The rtl.Func crosses the wire as its plain JSON
-// encoding (every field is exported), which round-trips exactly.
+// Assignment is one unit of leased work: a frontier shard of the
+// function FuncName names, resumed from CheckpointB64 under Options
+// and reported back under AssignmentID. The function itself travels
+// only inside the seed document, which holds its root.
 type Assignment struct {
 	AssignmentID string        `json:"assignment_id"`
 	Key          string        `json:"key"`
-	Func         *rtl.Func     `json:"func"`
+	FuncName     string        `json:"func_name"`
 	Options      SearchOptions `json:"options"`
 	// CheckpointB64 is the document the worker resumes (space format
 	// v2, base64): the shard's partition of the frontier on a first

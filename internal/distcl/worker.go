@@ -346,7 +346,7 @@ func (ru *run) changedCheckpoint() ([]byte, string) {
 
 // execute runs one assignment to completion, cancellation, or abort.
 func (w *Worker) execute(ctx context.Context, a *Assignment) {
-	logger := w.logger.With("assignment_id", a.AssignmentID, "key", a.Key, "func", a.Func.Name)
+	logger := w.logger.With("assignment_id", a.AssignmentID, "key", a.Key, "func", a.FuncName)
 	rctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	// The scratch file is scoped to the lease generation: a re-dispatch
@@ -388,6 +388,10 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 		Logger:         logger,
 		Faults:         w.cfg.Faults,
 		CheckpointPath: ru.ckptPath,
+		// Only a heartbeat uploads a checkpoint, so writing one more
+		// often than the heartbeat cadence re-encodes the space for
+		// nothing; a SIGKILL still costs at most one interval.
+		CheckpointInterval: w.hbEvery,
 	}
 	res, err := resumeSeed(ru, opts)
 	if err != nil {
@@ -404,7 +408,7 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 		// next one only derives. A derivation error reports as an abort:
 		// the coordinator answers an aborted equiv flight locally.
 		if res, err = search.DeriveEquiv(res, opts); err != nil {
-			res = &search.Result{FuncName: a.Func.Name, Aborted: true, AbortReason: err.Error()}
+			res = &search.Result{FuncName: a.FuncName, Aborted: true, AbortReason: err.Error()}
 		}
 	}
 
@@ -435,8 +439,8 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 	if res.Aborted {
 		req.Aborted, req.AbortReason = true, res.AbortReason
 	} else {
-		var buf bytes.Buffer
-		if err := res.Save(&buf); err != nil {
+		space, err := finishedSpace(ru, res)
+		if err != nil {
 			logger.Error("serializing finished space", "err", err.Error())
 			return
 		}
@@ -445,7 +449,7 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 			logger.Error("hashing finished space", "err", err.Error())
 			return
 		}
-		req.SpaceB64 = base64.StdEncoding.EncodeToString(buf.Bytes())
+		req.SpaceB64 = base64.StdEncoding.EncodeToString(space)
 		req.SpaceHash = hash
 	}
 	// Completion must outlive a drain signal that lands after the
@@ -463,6 +467,25 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 	os.Remove(ru.ckptPath) //nolint:errcheck // best-effort scratch cleanup
 	logger.Info("assignment completed",
 		"aborted", req.Aborted, "space_hash", req.SpaceHash, "status", cresp.Status)
+}
+
+// finishedSpace returns the serialized complete space of a finished
+// run. A default-tier run whose checkpoint writes all succeeded left
+// exactly that in its scratch file (the final write, or the seed
+// itself when it was already complete), so the file is sent as is
+// instead of encoding the space again; a derived equivalence tier or a
+// failed write is encoded from res.
+func finishedSpace(ru *run, res *search.Result) ([]byte, error) {
+	if !ru.a.Options.DeriveEquiv && res.CheckpointErr == "" {
+		if b, err := os.ReadFile(ru.ckptPath); err == nil {
+			return b, nil
+		}
+	}
+	var buf bytes.Buffer
+	if err := res.Save(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // resumeSeed materializes the assignment's seed — its shard's

@@ -8,10 +8,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/rtl"
 	"repro/internal/search"
+	"repro/internal/telemetry"
 )
 
 const gcdSrc = `
@@ -321,5 +323,100 @@ func TestKillResumeUnderFaults(t *testing.T) {
 	}
 	if !bytes.Equal(canonical(t, resumed), want) {
 		t.Fatal("kill/resume under faults diverged from the uninterrupted faulted run")
+	}
+}
+
+// ckptWrites runs f with the given checkpoint gates and reports the
+// number of successful checkpoint writes it counted and the number of
+// level boundaries it passed (one per expanded level).
+func ckptWrites(t *testing.T, f *rtl.Func, opts search.Options) (int64, int) {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	opts.Metrics = reg
+	opts.CheckpointPath = filepath.Join(t.TempDir(), f.Name+".ckpt.space.gz")
+	r := search.Run(f, opts)
+	if r.Aborted || r.CheckpointErr != "" {
+		t.Fatalf("run aborted (%q) or failed a checkpoint write (%q)", r.AbortReason, r.CheckpointErr)
+	}
+	levels := 0
+	for _, n := range r.Nodes {
+		levels = max(levels, n.Level+1)
+	}
+	if got := mustLoadCanonical(t, opts.CheckpointPath); !bytes.Equal(got, canonical(t, r)) {
+		t.Fatal("final checkpoint file differs from the run's space")
+	}
+	return reg.Counter("search.checkpoint.writes").Value(), levels
+}
+
+// TestCheckpointGatesCombineWithAnd: a periodic checkpoint needs both
+// gates, so an interval alone sets a wall-clock cadence, a level gate
+// alone keeps the level cadence, and the final write always happens.
+func TestCheckpointGatesCombineWithAnd(t *testing.T) {
+	_, f := compileFunc(t, sumSrc, "sum")
+	for _, tc := range []struct {
+		name     string
+		every    int
+		interval time.Duration
+		want     func(levels int) int64
+	}{
+		// Nothing finishes within an hour of the start: only the
+		// final write lands.
+		{"interval only", 0, time.Hour, func(int) int64 { return 1 }},
+		{"both gates", 2, time.Hour, func(int) int64 { return 1 }},
+		// explore's defaults: every level boundary plus the final write.
+		{"every level", 1, 0, func(l int) int64 { return int64(l) + 1 }},
+		{"every second level", 2, 0, func(l int) int64 { return int64(l/2) + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			writes, levels := ckptWrites(t, f, search.Options{
+				CheckpointEveryLevels: tc.every,
+				CheckpointInterval:    tc.interval,
+			})
+			if levels < 4 {
+				t.Fatalf("sum enumerates %d levels; the cadence cases need more", levels)
+			}
+			if want := tc.want(levels); writes != want {
+				t.Fatalf("%d checkpoint writes over %d levels, want %d", writes, levels, want)
+			}
+		})
+	}
+}
+
+// TestCheckpointIntervalCancelStillResumable: the time gate holds back
+// periodic writes only; a cancel mid-run still writes the boundary it
+// stopped at, and resuming it yields the uninterrupted space.
+func TestCheckpointIntervalCancelStillResumable(t *testing.T) {
+	_, f := compileFunc(t, sumSrc, "sum")
+	want := canonical(t, search.Run(f, search.Options{}))
+	ckpt := filepath.Join(t.TempDir(), "sum.ckpt.space.gz")
+	reg := telemetry.NewRegistry()
+	ctx, cancel := context.WithCancel(context.Background())
+	r := search.Run(f, search.Options{
+		Ctx:                ctx,
+		Verifier:           cancelAfter(cancel, 40),
+		CheckpointPath:     ckpt,
+		CheckpointInterval: time.Hour,
+		Metrics:            reg,
+	})
+	cancel()
+	if !r.Aborted {
+		t.Fatal("enumeration finished before the cancel point")
+	}
+	if got := reg.Counter("search.checkpoint.writes").Value(); got != 1 {
+		t.Fatalf("%d checkpoint writes, want exactly the abort's", got)
+	}
+	loaded, err := search.LoadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Checkpoint == nil {
+		t.Fatal("abort checkpoint has no frontier to resume from")
+	}
+	resumed, err := search.Resume(loaded, search.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canonical(t, resumed), want) {
+		t.Fatal("space resumed from the abort checkpoint differs from an uninterrupted run")
 	}
 }

@@ -15,9 +15,10 @@
 // level aborts oversized functions, mirroring the paper's one-million
 // cutoff that marked two of 111 functions "too big".
 //
-// The engine is durable: with Options.CheckpointPath set, every level
-// boundary and every abort path (caps, timeout, cancellation) persists
-// a resumable snapshot atomically, and Resume continues an interrupted
+// The engine is durable: with Options.CheckpointPath set, level
+// boundaries (on the cadence the checkpoint gates allow) and every
+// abort path (caps, timeout, cancellation) persist a resumable
+// snapshot atomically, and Resume continues an interrupted
 // enumeration to the byte-identical space an uninterrupted run yields.
 // A phase that panics or trips the attempt watchdog is quarantined —
 // recorded as a dead-end node with the failure message — instead of
@@ -206,13 +207,17 @@ type Options struct {
 	// the previous checkpoint; the error lands in Result.CheckpointErr
 	// and the search keeps running.
 	CheckpointPath string
-	// CheckpointEveryLevels gates periodic checkpoints to one per N
-	// completed levels (0 or 1 = every level). Abort checkpoints
+	// CheckpointEveryLevels and CheckpointInterval are the two gates
+	// of the periodic level-boundary checkpoints, and a write needs
+	// both: at least CheckpointEveryLevels completed levels (0 or 1 =
+	// every level) AND at least CheckpointInterval of wall time (0 = no
+	// time gate) since the last write. Setting only the interval gives
+	// a wall-clock cadence, so checkpoint I/O scales with run time
+	// rather than with the number of levels; with neither set every
+	// level boundary is written. Abort checkpoints and the final write
 	// ignore the gates.
 	CheckpointEveryLevels int
-	// CheckpointInterval additionally requires this much wall time
-	// since the last periodic checkpoint (0 = no time gate).
-	CheckpointInterval time.Duration
+	CheckpointInterval    time.Duration
 	// AttemptWatchdog bounds the wall time of a single phase
 	// application; an attempt exceeding it is quarantined like a
 	// panicking phase (the stuck goroutine is abandoned). 0 disables
@@ -609,24 +614,18 @@ func (e *engine) writeCheckpoint(snap *snapshot) {
 	e.lastCkpt = time.Now()
 }
 
-// maybeCheckpoint writes a periodic boundary checkpoint when the
-// level/time gates allow.
+// maybeCheckpoint writes a periodic boundary checkpoint once both the
+// level gate and the time gate pass.
 func (e *engine) maybeCheckpoint() {
 	if e.opts.CheckpointPath == "" {
 		return
 	}
 	e.levelsSinceCkpt++
-	every := e.opts.CheckpointEveryLevels
-	if every <= 0 {
-		every = 1
+	if e.levelsSinceCkpt < max(e.opts.CheckpointEveryLevels, 1) ||
+		time.Since(e.lastCkpt) < e.opts.CheckpointInterval {
+		return
 	}
-	due := e.levelsSinceCkpt >= every
-	if !due && e.opts.CheckpointInterval > 0 && time.Since(e.lastCkpt) >= e.opts.CheckpointInterval {
-		due = true
-	}
-	if due {
-		e.writeCheckpoint(&e.snap)
-	}
+	e.writeCheckpoint(&e.snap)
 }
 
 // run is the package's one level loop: it builds each level's work

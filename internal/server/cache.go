@@ -395,36 +395,20 @@ func (st *diskStore) remove(k cacheKey) {
 // put persists a completed space atomically and durably: temp file +
 // fsync + rename + directory fsync, the same discipline the search
 // checkpoint writer uses, so a crash never leaves a torn entry and a
-// power loss never loses a published one. The checkpoint file the
-// enumeration wrote along the way is superseded and removed.
-func (st *diskStore) put(k cacheKey, r *search.Result) error {
+// power loss never loses a published one. inSlot says k's checkpoint
+// slot already holds r — the final checkpoint write of a local
+// default-tier run, encoded and fsynced by the search engine — and
+// then the slot is promoted into the entry by rename + directory fsync
+// instead of encoding the space a second time; a failed promotion
+// falls back to the full write. Either way the checkpoint slot is
+// superseded and removed. promoted reports which path published r.
+func (st *diskStore) put(k cacheKey, r *search.Result, inSlot bool) (promoted bool, err error) {
 	path := st.path(k)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("server: cache write: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
+	promoted = inSlot && st.promote(k, path) == nil
+	if !promoted {
+		if err = st.write(path, r); err != nil {
+			return false, fmt.Errorf("server: cache write: %w", err)
 		}
-	}()
-	if err = r.Save(f); err != nil {
-		return fmt.Errorf("server: cache write: %w", err)
-	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("server: cache write: %w", err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("server: cache write: %w", err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("server: cache write: %w", err)
-	}
-	if err = syncDir(st.dir); err != nil {
-		return fmt.Errorf("server: cache write: %w", err)
 	}
 	os.Remove(st.ckptPath(k))
 
@@ -446,7 +430,46 @@ func (st *diskStore) put(k cacheKey, r *search.Result) error {
 	st.sweepLocked(k)
 	st.setGauge()
 	st.mu.Unlock()
-	return nil
+	return promoted, nil
+}
+
+// write encodes r into path through a synced temp file, renamed into
+// place and made durable with a directory fsync.
+func (st *diskStore) write(path string, r *search.Result) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	if err = r.Save(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(st.dir)
+}
+
+// promote renames k's checkpoint slot over the entry file at path. The
+// search engine already fsynced the slot's data, so the directory
+// fsync is all that is left to make the entry durable.
+func (st *diskStore) promote(k cacheKey, path string) error {
+	if err := os.Rename(st.ckptPath(k), path); err != nil {
+		return err
+	}
+	return syncDir(st.dir)
 }
 
 // diskBytes reports the tracked byte total (tests).

@@ -19,7 +19,7 @@ func putSpaces(t *testing.T, st *diskStore, srcs map[string]string, order []stri
 		fn := mustCompile(t, srcs[name], name)
 		res := search.Run(fn, search.Options{})
 		k := requestKey(fn, normOptions{})
-		if err := st.put(k, res); err != nil {
+		if _, err := st.put(k, res, false); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, k)

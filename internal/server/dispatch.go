@@ -562,7 +562,7 @@ func (d *dispatcher) dispatch(a *assignment, workerID string) (*distcl.Assignmen
 	msg := &distcl.Assignment{
 		AssignmentID:        a.id,
 		Key:                 string(a.key),
-		Func:                a.fl.fn,
+		FuncName:            a.fl.fn.Name,
 		Options:             a.wopts,
 		CheckpointB64:       base64.StdEncoding.EncodeToString(seed),
 		SearchTimeoutMillis: d.s.cfg.SearchTimeout.Milliseconds(),

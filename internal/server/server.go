@@ -98,7 +98,8 @@ type Config struct {
 	// DistLeaseTTL is the distributed-assignment lease duration: a
 	// worker that misses heartbeats for this long loses the assignment
 	// to re-dispatch (default 10s). Workers are told to heartbeat at a
-	// third of it.
+	// third of it, and that heartbeat interval is also how often local
+	// and worker searches write periodic checkpoints.
 	DistLeaseTTL time.Duration
 	// DistPollWait bounds how long a worker's /v1/dist/poll blocks
 	// waiting for work (default 5s).
@@ -701,7 +702,7 @@ func (s *Server) runFlight(fl *flight) {
 		fl.status = http.StatusServiceUnavailable
 		return
 	}
-	res, err := s.resolveFlight(fl)
+	res, inSlot, err := s.resolveFlight(fl)
 	if err != nil {
 		fl.err = err
 		return
@@ -709,10 +710,12 @@ func (s *Server) runFlight(fl *flight) {
 	if fl.err = s.admit(fl.key, res, &fl.ent); fl.err != nil {
 		return
 	}
-	if err := s.store.put(fl.key, res); err != nil {
+	if promoted, err := s.store.put(fl.key, res, inSlot); err != nil {
 		// Served from memory anyway; the disk slot heals on a future
 		// enumeration.
 		s.reg.Counter("server.cache.write_errors").Inc()
+	} else if promoted {
+		s.reg.Counter("server.cache.promotions").Inc()
 	}
 }
 
@@ -720,16 +723,19 @@ func (s *Server) runFlight(fl *flight) {
 // live, locally otherwise. The two compose with recovery — a
 // default-tier fleet flight leaves its warm-up pause, or at one shard
 // the fleet's last accepted upload, in the key's checkpoint slot — so
-// the local path resumes rather than restarts.
-func (s *Server) resolveFlight(fl *flight) (*search.Result, error) {
+// the local path resumes rather than restarts. inSlot reports that the
+// key's checkpoint slot already holds the complete space: a local
+// default-tier run whose final checkpoint write succeeded.
+func (s *Server) resolveFlight(fl *flight) (res *search.Result, inSlot bool, err error) {
 	res, handled := s.dist.shardEnumerate(fl)
 	if !handled {
-		var err error
 		if res, _, err = s.searchLocally(fl, fl.no.Equiv, 0); err != nil {
-			return nil, err
+			return nil, false, err
 		}
+		inSlot = !fl.no.Equiv && res.CheckpointErr == ""
 	}
-	return s.finishFlight(fl, res)
+	res, err = s.finishFlight(fl, res)
+	return res, inSlot, err
 }
 
 // searchLocally runs fl's search on this node and reports the width it
@@ -764,7 +770,11 @@ func (s *Server) searchLocally(fl *flight, equiv bool, stopAt int) (*search.Resu
 	}
 	var prev *search.Result
 	if !fl.no.Equiv {
+		// The fleet's durability bound applies here too: a crash costs
+		// at most one heartbeat interval of enumeration. Writing more
+		// often only re-encodes the space for nothing.
 		opts.CheckpointPath = s.store.ckptPath(fl.key)
+		opts.CheckpointInterval = s.dist.hbEvery()
 		if p, err := search.LoadFile(opts.CheckpointPath); err == nil {
 			switch {
 			case p.Checkpoint != nil && stopAt == 1:

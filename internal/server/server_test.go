@@ -741,3 +741,78 @@ func TestMemCacheLRU(t *testing.T) {
 		t.Fatalf("LRU holds %d entries, bound is 2", c.len())
 	}
 }
+
+// TestColdLocalFlightPromotesFinalCheckpoint: a cold default-tier
+// flight on a fleetless server checkpoints on the heartbeat cadence (a
+// third of the lease), so a run shorter than one interval writes only
+// its final checkpoint, and a lease short enough writes more. The
+// final file is the complete space and is promoted into the cache
+// entry rather than encoded a second time. When the final write fails
+// the flight is still cached, through the full write. Either way no
+// checkpoint slot is left behind and the entry, re-read by a fresh
+// server, hashes to the serial run's space.
+func TestColdLocalFlightPromotesFinalCheckpoint(t *testing.T) {
+	fn := mustCompile(t, sumSrc, "sum")
+	want, err := search.Run(fn, search.Options{Workers: 1}).CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := requestKey(fn, normOptions{})
+	for _, tc := range []struct {
+		name  string
+		lease time.Duration
+		// faults fails the first checkpoint write: with an hour's lease
+		// that is the final one.
+		faults string
+		// writes < 0 wants more than one checkpoint write.
+		writes, fails, promotions int64
+	}{
+		{"final write promoted", time.Hour, "", 1, 0, 1},
+		{"short lease writes periodically", 3 * time.Millisecond, "", -1, 0, 1},
+		{"failed final write saved", time.Hour, "ckptfail=1", 0, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Dir: dir, Workers: 1, DistLeaseTTL: tc.lease}
+			if tc.faults != "" {
+				cfg.Faults = faultinject.MustParse(tc.faults)
+			}
+			s, ts := newTestServer(t, cfg)
+			status, doc, _ := post(t, ts, srcBody(sumSrc))
+			if status != http.StatusOK || doc["cache"] != "miss" {
+				t.Fatalf("cold request: status %d, cache %v (%v)", status, doc["cache"], doc)
+			}
+			if doc["space_hash"] != want {
+				t.Fatalf("served hash %v, serial run %v", doc["space_hash"], want)
+			}
+			if got := counter(s, "search.checkpoint.writes"); got != tc.writes && (tc.writes >= 0 || got < 2) {
+				t.Errorf("search.checkpoint.writes = %d, want %d (-1: more than one)", got, tc.writes)
+			}
+			for name, n := range map[string]int64{
+				"search.checkpoint.failures": tc.fails,
+				"server.cache.promotions":    tc.promotions,
+				"server.cache.write_errors":  0,
+			} {
+				if got := counter(s, name); got != n {
+					t.Errorf("%s = %d, want %d", name, got, n)
+				}
+			}
+			if _, err := os.Stat(s.store.ckptPath(key)); !os.IsNotExist(err) {
+				t.Fatalf("checkpoint slot left behind after the put (stat: %v)", err)
+			}
+			entry, err := search.LoadFile(s.store.path(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := entry.CanonicalHash(); err != nil || got != want {
+				t.Fatalf("cache entry hashes %s (%v), serial run %s", got, err, want)
+			}
+			_, ts2 := newTestServer(t, Config{Dir: dir})
+			status, doc, _ = post(t, ts2, srcBody(sumSrc))
+			if status != http.StatusOK || doc["cache"] != "disk" || doc["space_hash"] != want {
+				t.Fatalf("fresh server: status %d, cache %v, hash %v; want a disk hit hashing %s",
+					status, doc["cache"], doc["space_hash"], want)
+			}
+		})
+	}
+}
